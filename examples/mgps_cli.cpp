@@ -18,11 +18,11 @@
 // cores, default 1; the index's pair-slot table is split into S shards,
 // 0 = auto), and saves <prefix>.metagraphs and <prefix>.index. `query`
 // restores the offline phase, obtains the class model, and prints the
-// top-k answers for one query node — or, with --query-file, ranks every
-// node id listed in F (whitespace-separated) in one
-// SearchEngine::BatchQuery call (batch results are identical to per-id
-// queries; see core/query_batch.h). The saved index is byte-identical for
-// every --threads and --shards value.
+// top-k answers for one query node — or, with --query-file, builds the
+// model's node-dot table once and ranks every node id listed in F
+// (whitespace-separated) in one RankBatch call (batch results are
+// identical to per-id queries; see core/query_batch.h). The saved index is
+// byte-identical for every --threads and --shards value.
 //
 // Models are first-class artifacts: --model=PATH loads the saved model at
 // PATH if present and otherwise trains once and saves it there (the
@@ -40,16 +40,18 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/engine.h"
+#include "core/query_batch.h"
 #include "example_common.h"
 #include "graph/graph_io.h"
 #include "server/wire.h"  // server::FormatScore: shared exact score format
 #include "util/parse.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"  // util::ResolveNumThreads
+#include "util/thread_pool.h"
 
 using namespace metaprox;  // NOLINT
 
@@ -320,7 +322,16 @@ int main(int argc, char** argv) {
 
     if (batch_mode) {
       util::Stopwatch timer;
-      auto results = engine.BatchQuery(model, batch, k);
+      const size_t workers = util::ResolveNumThreads(num_threads);
+      std::unique_ptr<util::ThreadPool> pool;
+      if (workers > 1) pool = std::make_unique<util::ThreadPool>(workers);
+      const std::vector<double> node_dots =
+          ComputeNodeDots(engine.index(), model.weights, pool.get());
+      const RankModel rank_model{model.weights, node_dots};
+      const std::vector<uint32_t> model_of(batch.size(), 0);
+      auto results =
+          RankBatch(engine.index(), std::span<const RankModel>(&rank_model, 1),
+                    batch, model_of, k, pool.get());
       const double seconds = timer.ElapsedSeconds();
       for (size_t i = 0; i < batch.size(); ++i) {
         if (tsv) {

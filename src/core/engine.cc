@@ -168,29 +168,6 @@ std::vector<std::pair<NodeId, double>> SearchEngine::Query(
   return snapshot_->Query(model, q, k);
 }
 
-std::vector<std::vector<std::pair<NodeId, double>>> SearchEngine::BatchQuery(
-    const MgpModel& model, std::span<const NodeId> queries, size_t k) {
-  MX_CHECK_MSG(snapshot_ != nullptr, "BatchQuery() needs a finalized index");
-  const size_t workers = util::ResolveNumThreads(options_.num_threads);
-  util::ThreadPool* pool =
-      (workers > 1 && queries.size() > 1) ? &Pool(workers) : nullptr;
-  return snapshot_->BatchQuery(model, queries, k, pool, &batch_scratch_);
-}
-
-std::vector<std::vector<std::pair<NodeId, double>>>
-SearchEngine::BatchQueryMulti(std::span<const std::span<const double>> models,
-                              std::span<const NodeId> queries,
-                              std::span<const uint32_t> model_of, size_t k,
-                              BatchMultiStats* stats) {
-  MX_CHECK_MSG(snapshot_ != nullptr,
-               "BatchQueryMulti() needs a finalized index");
-  const size_t workers = util::ResolveNumThreads(options_.num_threads);
-  util::ThreadPool* pool =
-      (workers > 1 && queries.size() > 1) ? &Pool(workers) : nullptr;
-  return snapshot_->BatchQueryMulti(models, queries, model_of, k, pool,
-                                    &batch_scratch_, stats);
-}
-
 double SearchEngine::Proximity(const MgpModel& model, NodeId x,
                                NodeId y) const {
   MX_CHECK(index_ != nullptr);
@@ -243,23 +220,6 @@ util::Status SearchEngine::LoadOffline(const std::string& path_prefix,
   match_stats_.assign(metagraphs_.size(), MetagraphMatchStats{});
   PublishSnapshot();
   return util::Status::Ok();
-}
-
-util::Status SearchEngine::SaveOffline(const std::string& path_prefix,
-                                       util::ArtifactFormat format,
-                                       BinaryLayout layout) const {
-  ArtifactOptions options;
-  options.format = format;
-  options.layout = layout;
-  return SaveOffline(path_prefix, options);
-}
-
-util::Status SearchEngine::LoadOffline(const std::string& path_prefix,
-                                       const IndexLoadOptions& options) {
-  ArtifactOptions artifact_options;
-  artifact_options.use_mmap = options.use_mmap;
-  artifact_options.verify_checksums = options.verify_checksums;
-  return LoadOffline(path_prefix, artifact_options);
 }
 
 }  // namespace metaprox

@@ -25,22 +25,6 @@ QueryResult IndexSnapshot::Query(const MgpModel& model, NodeId q,
   return RankByProximity(*index_, model.weights, q, index_->Candidates(q), k);
 }
 
-std::vector<QueryResult> IndexSnapshot::BatchQuery(
-    const MgpModel& model, std::span<const NodeId> queries, size_t k,
-    util::ThreadPool* pool, BatchScratch* scratch) const {
-  return BatchRankByProximity(*index_, model.weights, queries, k, pool,
-                              scratch);
-}
-
-std::vector<QueryResult> IndexSnapshot::BatchQueryMulti(
-    std::span<const std::span<const double>> models,
-    std::span<const NodeId> queries, std::span<const uint32_t> model_of,
-    size_t k, util::ThreadPool* pool, BatchScratch* scratch,
-    BatchMultiStats* stats) const {
-  return BatchRankByProximityMulti(*index_, models, queries, model_of, k, pool,
-                                   scratch, stats);
-}
-
 double IndexSnapshot::Proximity(const MgpModel& model, NodeId x,
                                 NodeId y) const {
   return MgpProximity(*index_, model.weights, x, y);

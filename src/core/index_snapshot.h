@@ -1,20 +1,18 @@
 // IndexSnapshot: one immutable, shareable generation of the servable
 // state — graph + mined metagraph set + finalized vector index.
 //
-// The snapshot is the unit the online phase pins: every read path (Query /
-// BatchQuery / BatchQueryMulti, whether called through SearchEngine, the
-// query server's batcher, or a bench) holds a shared_ptr<const
-// IndexSnapshot> for the duration of the call, so an IndexMaintainer can
-// publish a refreshed generation at any moment without invalidating
-// in-flight work — the same RCU discipline server::ModelRegistry applies
-// to models. A snapshot is deeply immutable after construction; all
+// The snapshot is the unit the online phase pins: every read path (Query
+// through SearchEngine, the query server's batcher ranking with RankBatch,
+// a bench) holds a shared_ptr<const IndexSnapshot> for the duration of
+// the call, so an IndexMaintainer can publish a refreshed generation at
+// any moment without invalidating in-flight work — the same RCU
+// discipline server::ModelRegistry applies to models. A snapshot is deeply immutable after construction; all
 // methods are const and safe from any number of threads.
 #ifndef METAPROX_CORE_INDEX_SNAPSHOT_H_
 #define METAPROX_CORE_INDEX_SNAPSHOT_H_
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "core/query_batch.h"
@@ -22,7 +20,6 @@
 #include "index/metagraph_vectors.h"
 #include "learning/proximity.h"
 #include "mining/miner.h"
-#include "util/thread_pool.h"
 
 namespace metaprox {
 
@@ -56,22 +53,6 @@ class IndexSnapshot {
   /// Online phase: top-k nodes by pi(q, .; w). Same contract as
   /// SearchEngine::Query (which now routes through its snapshot).
   QueryResult Query(const MgpModel& model, NodeId q, size_t k) const;
-
-  /// Batched online phase. Unlike the engine methods, pool and scratch are
-  /// caller-owned arguments — the snapshot itself holds no mutable state,
-  /// which is what makes it shareable. Results are bitwise identical to
-  /// per-query Query() for any pool/scratch (see BatchRankByProximity).
-  std::vector<QueryResult> BatchQuery(const MgpModel& model,
-                                      std::span<const NodeId> queries, size_t k,
-                                      util::ThreadPool* pool = nullptr,
-                                      BatchScratch* scratch = nullptr) const;
-
-  /// Shared-window, multi-model batch (see BatchRankByProximityMulti).
-  std::vector<QueryResult> BatchQueryMulti(
-      std::span<const std::span<const double>> models,
-      std::span<const NodeId> queries, std::span<const uint32_t> model_of,
-      size_t k, util::ThreadPool* pool = nullptr,
-      BatchScratch* scratch = nullptr, BatchMultiStats* stats = nullptr) const;
 
   /// Proximity between two specific nodes.
   double Proximity(const MgpModel& model, NodeId x, NodeId y) const;

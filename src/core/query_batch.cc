@@ -9,145 +9,40 @@
 #include "util/parallel_for.h"
 
 namespace metaprox {
-namespace {
 
-// Scores one query against its candidate postings, reading every m_x . w
-// from the batch-wide cache and every pair row through its finalized slot.
-// The arithmetic mirrors RankByProximity term for term (same accumulation
-// order inside each dot, same guards, same ranking order), which is what
-// makes the batched results bitwise-identical to the sequential path.
-QueryResult ScoreOne(const MetagraphVectorIndex& index,
-                     std::span<const double> weights, NodeId q, size_t k,
-                     const BatchScratch& scratch) {
-  const std::span<const NodeId> candidates = index.Candidates(q);
-  const std::span<const uint32_t> slots = index.CandidateSlots(q);
-  QueryResult scored;
-  scored.reserve(candidates.size());
-  const double q_dot = scratch.NodeDot(q);
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    const NodeId y = candidates[i];
-    if (y == q) continue;
-    const double numer = 2.0 * index.SlotDot(slots[i], weights);
-    if (numer <= 0.0) continue;
-    const double denom = q_dot + scratch.NodeDot(y);
-    if (denom <= 0.0) continue;
-    scored.emplace_back(y, numer / denom);
-  }
-  const size_t take = std::min(k, scored.size());
-  std::partial_sort(scored.begin(), scored.begin() + static_cast<int64_t>(take),
-                    scored.end(), ProximityRankBefore);
-  scored.resize(take);
-  return scored;
-}
-
-}  // namespace
-
-void BatchScratch::BeginBatch(size_t num_nodes, size_t num_models) {
-  MX_CHECK(num_models >= 1);
-  if (epoch_of_.size() != num_nodes) {
-    // Different graph (or first use): full (re)allocation. Epoch restarts
-    // at 1 with every mark at 0, so nothing from the old graph survives.
-    epoch_of_.assign(num_nodes, 0);
-    epoch_ = 0;
-  }
-  num_models_ = num_models;
-  // The dot cache only ever grows (to the largest nodes x models layout
-  // seen); stale contents need no zeroing — the epoch gates every read.
-  if (node_dots_.size() < num_nodes * num_models_) {
-    node_dots_.resize(num_nodes * num_models_);
-  }
-  ++epoch_;
-  touched_high_water_ = std::max(touched_high_water_, touched_.size());
-  touched_.clear();
-  touched_.reserve(touched_high_water_);
-}
-
-std::vector<QueryResult> BatchRankByProximity(
-    const MetagraphVectorIndex& index, std::span<const double> weights,
-    std::span<const NodeId> queries, size_t k, util::ThreadPool* pool,
-    BatchScratch* scratch) {
-  std::vector<QueryResult> results(queries.size());
-  if (queries.empty()) return results;
-
-  const size_t num_nodes = index.num_graph_nodes();
-  for (NodeId q : queries) MX_CHECK(q < num_nodes);
-
-  // One-shot callers pay a fresh allocation here, exactly like the old
-  // dense scratch; callers in a serving loop pass a long-lived scratch and
-  // pay only for the rows this batch actually touches.
-  BatchScratch local_scratch;
-  if (scratch == nullptr) scratch = &local_scratch;
-  scratch->BeginBatch(num_nodes);
-
-  // Duplicate query nodes are scored once: collapse to a sorted unique set
-  // (sorted so the scatter below can binary-search its way back).
-  std::vector<NodeId> uniq(queries.begin(), queries.end());
-  std::sort(uniq.begin(), uniq.end());
-  uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
-
-  // Every node row the batch will read — the queries plus all their
-  // candidates — is marked once in the scratch, however many candidate
-  // sets share it. Marking is epoch-based: a batch touching T rows costs
-  // O(T), not O(|V|), no matter how large the graph.
-  for (NodeId q : uniq) {
-    scratch->MarkTouched(q);
-    for (NodeId y : index.Candidates(q)) scratch->MarkTouched(y);
-  }
-
-  // Gather pass: each touched row's m_x . w exactly once, cached in the
-  // scratch for O(1) reads while scoring. Chunks write disjoint entries
-  // (the touched list is duplicate-free), so no synchronization.
-  const std::span<const NodeId> nodes = scratch->touched();
-  util::ParallelChunks(pool, nodes.size(), [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      scratch->SetNodeDot(nodes[i], index.NodeDot(nodes[i], weights));
+std::vector<double> ComputeNodeDots(const MetagraphVectorIndex& index,
+                                    std::span<const double> weights,
+                                    util::ThreadPool* pool) {
+  MX_CHECK(weights.size() == index.num_metagraphs());
+  std::vector<double> dots(index.num_graph_nodes());
+  // Chunks write disjoint entries, so no synchronization.
+  util::ParallelChunks(pool, dots.size(), [&](size_t begin, size_t end) {
+    for (size_t x = begin; x < end; ++x) {
+      dots[x] = index.NodeDot(static_cast<NodeId>(x), weights);
     }
   });
-
-  // Scoring pass: one independent top-k per unique query.
-  std::vector<QueryResult> uniq_results(uniq.size());
-  util::ParallelChunks(pool, uniq.size(), [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      uniq_results[i] = ScoreOne(index, weights, uniq[i], k, *scratch);
-    }
-  });
-
-  // Scatter back into batch order; duplicates copy the shared result.
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const size_t pos = static_cast<size_t>(
-        std::lower_bound(uniq.begin(), uniq.end(), queries[i]) - uniq.begin());
-    results[i] = uniq_results[pos];
-  }
-  return results;
+  return dots;
 }
 
-std::vector<QueryResult> BatchRankByProximityMulti(
-    const MetagraphVectorIndex& index,
-    std::span<const std::span<const double>> models,
-    std::span<const NodeId> queries, std::span<const uint32_t> model_of,
-    size_t k, util::ThreadPool* pool, BatchScratch* scratch,
-    BatchMultiStats* stats) {
+std::vector<QueryResult> RankBatch(const MetagraphVectorIndex& index,
+                                   std::span<const RankModel> models,
+                                   std::span<const NodeId> queries,
+                                   std::span<const uint32_t> model_of,
+                                   size_t k, util::ThreadPool* pool) {
   MX_CHECK(model_of.size() == queries.size());
-  MX_CHECK(!models.empty());
   const size_t n_models = models.size();
-  for (std::span<const double> w : models) {
-    MX_CHECK(w.size() == index.num_metagraphs());
-  }
-
-  std::vector<QueryResult> results(queries.size());
-  if (queries.empty()) {
-    if (stats != nullptr) *stats = BatchMultiStats{};
-    return results;
-  }
-
   const size_t num_nodes = index.num_graph_nodes();
+  for (const RankModel& model : models) {
+    MX_CHECK(model.weights.size() == index.num_metagraphs());
+    MX_CHECK(model.node_dots.size() == num_nodes);
+  }
   for (size_t i = 0; i < queries.size(); ++i) {
     MX_CHECK(queries[i] < num_nodes);
     MX_CHECK(model_of[i] < n_models);
   }
 
-  BatchScratch local_scratch;
-  if (scratch == nullptr) scratch = &local_scratch;
+  std::vector<QueryResult> results(queries.size());
+  if (queries.empty()) return results;
 
   // Duplicates of a (query, model) pair share one scored result: collapse
   // to sorted unique pairs. Sorting by (node, model) also groups a node's
@@ -161,56 +56,30 @@ std::vector<QueryResult> BatchRankByProximityMulti(
   std::sort(uniq.begin(), uniq.end());
   uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
 
-  // Unique query NODES (a node queried under several models still gathers
-  // once); uniq is sorted by node first, so this falls out in order.
+  // Unique query NODES (a node queried under several models walks its
+  // candidates once), and the offsets of each node's run of (node, model)
+  // members in uniq, with a sentinel: group g (aligned with qnodes) spans
+  // uniq[group_begin[g] .. group_begin[g + 1]).
   std::vector<NodeId> qnodes;
+  std::vector<size_t> group_begin;
   qnodes.reserve(uniq.size());
-  for (const auto& [q, m] : uniq) {
-    if (qnodes.empty() || qnodes.back() != q) qnodes.push_back(q);
-  }
-
-  // Optional what-if accounting: how many rows N independent per-model
-  // BatchRankByProximity calls would have gathered for this same window.
-  // Costs one extra marking walk per model, no dots — only taken when the
-  // caller wants the counters.
-  if (stats != nullptr) {
-    *stats = BatchMultiStats{};
-    for (uint32_t m = 0; m < n_models; ++m) {
-      scratch->BeginBatch(num_nodes);
-      for (const auto& [q, qm] : uniq) {
-        if (qm != m) continue;
-        scratch->MarkTouched(q);
-        for (NodeId y : index.Candidates(q)) scratch->MarkTouched(y);
-      }
-      stats->rows_per_model += scratch->touched().size();
+  group_begin.reserve(uniq.size() + 1);
+  for (size_t i = 0; i < uniq.size(); ++i) {
+    if (i == 0 || uniq[i].first != uniq[i - 1].first) {
+      qnodes.push_back(uniq[i].first);
+      group_begin.push_back(i);
     }
   }
+  group_begin.push_back(uniq.size());
 
-  // The shared window: mark the UNION of every query's touched rows, once.
-  scratch->BeginBatch(num_nodes, n_models);
-  for (NodeId q : qnodes) {
-    scratch->MarkTouched(q);
-    for (NodeId y : index.Candidates(q)) scratch->MarkTouched(y);
-  }
-
+  std::vector<std::span<const double>> weights;
+  weights.reserve(n_models);
+  for (const RankModel& model : models) weights.push_back(model.weights);
   kernels::MultiWeightSet wset;
-  wset.Assign(models);
-
-  // Gather pass, all models at once: each touched row is walked (and its
-  // count transform computed) exactly once, filling the row's n_models
-  // cached dots through the multi-weight kernel.
-  const std::span<const NodeId> nodes = scratch->touched();
-  if (stats != nullptr) stats->rows_gathered = nodes.size();
+  wset.Assign(weights);
   const kernels::RowTransform transform = index.row_transform();
-  util::ParallelChunks(pool, nodes.size(), [&](size_t begin, size_t end) {
-    std::vector<double> lanes(wset.lane_scratch_size());
-    for (size_t i = begin; i < end; ++i) {
-      kernels::RowDotMulti(index.NodeRow(nodes[i]), wset, transform,
-                           scratch->MutableNodeDots(nodes[i]), lanes.data());
-    }
-  });
 
-  // Pair rows between two query nodes of the window are read by both
+  // Pair rows between two query nodes of the batch are read by both
   // endpoints' scorings: precompute those once for all models. Collected
   // from both directions and de-duplicated by slot, so a symmetric slot is
   // dotted exactly once however the index numbered it.
@@ -220,8 +89,7 @@ std::vector<QueryResult> BatchRankByProximityMulti(
     const std::span<const uint32_t> slots = index.CandidateSlots(q);
     for (size_t i = 0; i < candidates.size(); ++i) {
       const NodeId y = candidates[i];
-      if (y == q) continue;
-      if (std::binary_search(qnodes.begin(), qnodes.end(), y)) {
+      if (y != q && std::binary_search(qnodes.begin(), qnodes.end(), y)) {
         shared_slots.push_back(slots[i]);
       }
     }
@@ -229,7 +97,6 @@ std::vector<QueryResult> BatchRankByProximityMulti(
   std::sort(shared_slots.begin(), shared_slots.end());
   shared_slots.erase(std::unique(shared_slots.begin(), shared_slots.end()),
                      shared_slots.end());
-  if (stats != nullptr) stats->shared_pair_rows = shared_slots.size();
 
   std::vector<double> shared_dots(shared_slots.size() * n_models);
   util::ParallelChunks(pool, shared_slots.size(), [&](size_t begin,
@@ -241,22 +108,12 @@ std::vector<QueryResult> BatchRankByProximityMulti(
     }
   });
 
-  // Offsets of each node's run of (node, model) members in uniq, with a
-  // sentinel: group g (aligned with qnodes) spans
-  // uniq[group_begin[g] .. group_begin[g + 1]).
-  std::vector<size_t> group_begin;
-  group_begin.reserve(qnodes.size() + 1);
-  for (size_t i = 0; i < uniq.size(); ++i) {
-    if (i == 0 || uniq[i].first != uniq[i - 1].first) group_begin.push_back(i);
-  }
-  group_begin.push_back(uniq.size());
-
   // Scoring pass: one group per query node, walking its candidate postings
   // ONCE for all member models. Each candidate's pair row yields its
-  // n_models dots in one kernel call (or a precomputed shared-slot read),
-  // then every member applies ScoreOne's exact guards and arithmetic under
-  // its own model — so member (q, m)'s result is bitwise ScoreOne(q)
-  // under weights m.
+  // n_models dots in one kernel call (or a precomputed shared-slot read);
+  // both node dots come from the members' tables. Every member then
+  // applies RankByProximity's exact guards and arithmetic under its own
+  // model, so member (q, m)'s result is bitwise Query(q) under model m.
   std::vector<QueryResult> uniq_results(uniq.size());
   util::ParallelChunks(pool, qnodes.size(), [&](size_t begin, size_t end) {
     std::vector<double> lanes(wset.lane_scratch_size());
@@ -264,11 +121,9 @@ std::vector<QueryResult> BatchRankByProximityMulti(
     for (size_t g = begin; g < end; ++g) {
       const NodeId q = qnodes[g];
       const size_t members_begin = group_begin[g];
-      const size_t members_end = group_begin[g + 1];
-      const size_t members = members_end - members_begin;
+      const size_t members = group_begin[g + 1] - members_begin;
       const std::span<const NodeId> candidates = index.Candidates(q);
       const std::span<const uint32_t> slots = index.CandidateSlots(q);
-      const double* q_dots = scratch->NodeDots(q);
 
       std::vector<QueryResult> scored(members);
       for (QueryResult& s : scored) s.reserve(candidates.size());
@@ -287,12 +142,11 @@ std::vector<QueryResult> BatchRankByProximityMulti(
                                local_dots.data(), lanes.data());
           pair_dots = local_dots.data();
         }
-        const double* y_dots = scratch->NodeDots(y);
         for (size_t j = 0; j < members; ++j) {
           const uint32_t m = uniq[members_begin + j].second;
           const double numer = 2.0 * pair_dots[m];
           if (numer <= 0.0) continue;
-          const double denom = q_dots[m] + y_dots[m];
+          const double denom = models[m].node_dots[q] + models[m].node_dots[y];
           if (denom <= 0.0) continue;
           scored[j].emplace_back(y, numer / denom);
         }

@@ -1,40 +1,31 @@
-// Batched online phase: ranks many queries against the finalized metagraph
-// vector index in one pass, amortizing the index walks a per-query
-// SearchEngine::Query() repays on every call.
+// Batched online phase: ranks many queries, under one or more models,
+// against the finalized metagraph vector index in one pass.
 //
-// What a batch amortizes:
-//   * duplicate query nodes are scored once and their result copied;
-//   * every node row touched by the batch (queries plus all their
-//     candidates) has m_x . w computed exactly once, instead of once per
-//     query that reaches it — candidate sets of related queries overlap
-//     heavily, so this is the dominant saving;
-//   * pair rows are read through the index's candidate-slot postings
-//     (MetagraphVectorIndex::CandidateSlots/SlotDot), a direct array walk
-//     with no per-pair hash probe;
-//   * distinct queries score independently, so the scoring pass fans out
-//     over a util::ThreadPool.
-//
-// The MULTI entry point (BatchRankByProximityMulti) extends the batch
-// across weight vectors — gather once, score many: a window mixing N
-// models runs ONE node-dedup + row-gather pass over the union of every
-// query's touched rows, and each gathered row is scored under all N
-// weight vectors in one walk through the multi-weight score kernels
-// (core/score_kernels.h, interleaved weights, one transform per entry),
-// driving the marginal cost of an extra model toward one fma per row
-// entry. Pair rows shared between two queries of the window (q1, q2
-// mutual candidates) are likewise walked once for all models.
+// pi(q, y; w) = 2 (m_qy . w) / (m_q . w + m_y . w). The denominator's node
+// dots depend only on the weights and the index, never on the query, so a
+// caller computes them ONCE per (model, index) pair — ComputeNodeDots, a
+// table of m_x . w over every node — and every later batch reads them from
+// that table. What a batch itself amortizes:
+//   * duplicate (query, model) pairs are scored once and their result
+//     copied;
+//   * a node queried under several models walks its candidate postings
+//     once, each candidate's pair row scored under all of the window's
+//     models in one multi-weight kernel call (core/score_kernels.h);
+//   * pair rows between two query nodes of the batch (mutual candidates)
+//     are dotted once for all models and read by both endpoints;
+//   * distinct query nodes score independently, so the scoring pass fans
+//     out over a util::ThreadPool.
 //
 // Determinism contract (the batched counterpart of the offline pipeline's
-// contract in docs/ARCHITECTURE.md): for any batch composition and any
-// thread count, result i is IDENTICAL — same nodes, same (bitwise) scores,
-// same tie-break order — to RankByProximity(index, weights, queries[i],
-// Candidates(queries[i]), k), i.e. to what SearchEngine::Query(model,
-// queries[i], k) returns; for the multi path, under queries[i]'s OWN model
-// (weights = models[model_of[i]]). Every dot product — per-query, batched,
-// multi, scalar or SIMD — evaluates through the same score kernel with the
-// same canonical accumulation, and the shared ProximityRankBefore order is
-// total, so neither parallelism nor kernel dispatch has anything to
-// reorder.
+// contract in docs/ARCHITECTURE.md): for any batch composition, model mix
+// and thread count, result i is IDENTICAL — same nodes, same (bitwise)
+// scores, same tie-break order — to RankByProximity(index, weights of
+// model_of[i], queries[i], Candidates(queries[i]), k), i.e. to what
+// SearchEngine::Query returns under that model. Every dot product —
+// per-query, tabled or multi-weight, scalar or SIMD — evaluates through
+// the same score kernel with the same canonical accumulation, and the
+// shared ProximityRankBefore order is total, so neither parallelism nor
+// kernel dispatch has anything to reorder.
 #ifndef METAPROX_CORE_QUERY_BATCH_H_
 #define METAPROX_CORE_QUERY_BATCH_H_
 
@@ -45,7 +36,6 @@
 
 #include "graph/types.h"
 #include "index/metagraph_vectors.h"
-#include "util/macros.h"
 #include "util/thread_pool.h"
 
 namespace metaprox {
@@ -54,139 +44,32 @@ namespace metaprox {
 /// ProximityRankBefore order, proximity > 0 only.
 using QueryResult = std::vector<std::pair<NodeId, double>>;
 
-/// Reusable epoch-marked scratch for the batched online path: the
-/// batch-wide node dedup mark and node-dot cache, dense over the graph's
-/// nodes but allocated once and never cleared between batches.
-/// BeginBatch() bumps an epoch instead of zeroing, so a long-lived caller
-/// (the query server's batch loop, SearchEngine::BatchQuery) pays O(rows
-/// touched) per batch — not O(|V|) — which is what makes tiny batches on
-/// multi-million-node graphs cheap.
-///
-/// Multi-model batches widen the dot cache: BeginBatch(n, m) lays the
-/// cache out as node_dots_[x * m + model], still epoch-marked per NODE
-/// (one gather fills a row's m dots together). The cache grows
-/// monotonically to the largest (nodes x models) seen and the epoch
-/// expires stale layouts, so alternating single- and multi-model batches
-/// never reallocates back and forth.
-///
-/// A scratch belongs to ONE caller at a time: concurrent batch calls must
-/// use distinct scratches. (The gather pass's workers may write dots of
-/// distinct nodes concurrently; marking stays on the coordinating
-/// thread.)
-class BatchScratch {
- public:
-  BatchScratch() = default;
-  // Movable (so owners like SearchEngine stay movable) but not copyable —
-  // a copy would silently double the O(|V|) tables.
-  BatchScratch(BatchScratch&&) = default;
-  BatchScratch& operator=(BatchScratch&&) = default;
-  MX_DISALLOW_COPY_AND_ASSIGN(BatchScratch);
+/// m_x . w for every node x of a finalized index (entry x of the result),
+/// each through index.NodeDot — the kernel Query() uses — so a table entry
+/// is bitwise the dot Query() would compute. With a non-null `pool` the
+/// nodes are split over its workers; the table is identical either way.
+std::vector<double> ComputeNodeDots(const MetagraphVectorIndex& index,
+                                    std::span<const double> weights,
+                                    util::ThreadPool* pool = nullptr);
 
-  /// Starts a new batch over a graph of `num_nodes` nodes, caching
-  /// `num_models` dots per touched node. Previous marks and cached dots
-  /// expire in O(1) (epoch bump, no per-node clear); tables are
-  /// (re)allocated only when `num_nodes` changes or the dot cache must
-  /// grow. The touched list's capacity is pre-reserved to the high-water
-  /// mark of earlier batches, so a long-lived serving scratch stops
-  /// paying re-growth churn after warm-up.
-  void BeginBatch(size_t num_nodes, size_t num_models = 1);
-
-  /// Marks x as touched by the current batch; returns true on x's first
-  /// touch since BeginBatch(). Stale marks from earlier batches are
-  /// invisible (their epoch differs), so no state leaks across calls.
-  bool MarkTouched(NodeId x) {
-    if (epoch_of_[x] == epoch_) return false;
-    epoch_of_[x] = epoch_;
-    touched_.push_back(x);
-    return true;
-  }
-
-  /// Rows marked since BeginBatch(), in first-touch order.
-  std::span<const NodeId> touched() const { return touched_; }
-  /// Current capacity of the touched list (>= the high-water mark of past
-  /// batches; exposed so tests can pin the no-regrowth behavior).
-  size_t touched_capacity() const { return touched_.capacity(); }
-
-  /// Models per node this batch caches (BeginBatch's num_models).
-  size_t num_models() const { return num_models_; }
-
-  /// Caches / reads m_x . w for a row marked in the current batch (model
-  /// 0 when the batch is multi-model). Reading an unmarked row is a bug
-  /// (the slot may hold a stale dot from an earlier batch); debug builds
-  /// check (MX_DCHECK).
-  void SetNodeDot(NodeId x, double dot) {
-    node_dots_[static_cast<size_t>(x) * num_models_] = dot;
-  }
-  double NodeDot(NodeId x) const {
-    MX_DCHECK(epoch_of_[x] == epoch_);
-    return node_dots_[static_cast<size_t>(x) * num_models_];
-  }
-
-  /// The num_models()-wide dot row of a marked node: NodeDots(x)[m] is
-  /// m_x . w_m. MutableNodeDots is the gather pass's write target (rows of
-  /// distinct nodes may be written concurrently).
-  double* MutableNodeDots(NodeId x) {
-    return node_dots_.data() + static_cast<size_t>(x) * num_models_;
-  }
-  const double* NodeDots(NodeId x) const {
-    MX_DCHECK(epoch_of_[x] == epoch_);
-    return node_dots_.data() + static_cast<size_t>(x) * num_models_;
-  }
-
- private:
-  uint64_t epoch_ = 0;  // 0 = no batch yet; epoch_of_ entries start at 0
-  std::vector<uint64_t> epoch_of_;  // epoch_of_[x] == epoch_ <=> x touched
-  std::vector<double> node_dots_;   // [x * num_models_ + m], valid if marked
-  std::vector<NodeId> touched_;
-  size_t num_models_ = 1;
-  size_t touched_high_water_ = 0;  // max touched_.size() across batches
+/// One model of a RankBatch call: its weights and the node-dot table
+/// ComputeNodeDots built from them over the SAME index the batch ranks.
+struct RankModel {
+  std::span<const double> weights;
+  std::span<const double> node_dots;
 };
 
-/// Ranks every query of `queries` by descending pi(q, .; weights) over its
-/// candidate set, returning one QueryResult per query (aligned with
-/// `queries`, duplicates included). Requires a finalized index. With a
-/// non-null `pool` the per-query scoring runs on its workers; the results
-/// are identical for any pool size, including none. With a non-null
-/// `scratch` the batch reuses that scratch's tables instead of allocating
-/// O(|V|) fresh ones — results are identical either way, whatever earlier
-/// batches the scratch served.
-std::vector<QueryResult> BatchRankByProximity(
-    const MetagraphVectorIndex& index, std::span<const double> weights,
-    std::span<const NodeId> queries, size_t k, util::ThreadPool* pool = nullptr,
-    BatchScratch* scratch = nullptr);
-
-/// Gather-amortization accounting of one BatchRankByProximityMulti call,
-/// for callers (the query server, benches) that surface the shared-window
-/// saving. Filled only when requested (the what-if pass costs extra
-/// candidate walks).
-struct BatchMultiStats {
-  /// Node rows the shared window gathered (dotted once, all models).
-  uint64_t rows_gathered = 0;
-  /// Node rows N per-model BatchRankByProximity calls would have gathered
-  /// for the same window (the sum over models of each model's own union).
-  /// rows_per_model - rows_gathered is the saving; equal when one model.
-  uint64_t rows_per_model = 0;
-  /// Pair rows between two query nodes of the window, precomputed once
-  /// for all models instead of once per endpoint per model.
-  uint64_t shared_pair_rows = 0;
-};
-
-/// The shared-window, multi-model batch: ranks queries[i] under
-/// models[model_of[i]] (N weight vectors, each of the index's weight
-/// count), gathering the union of touched node rows ONCE and scoring every
-/// gathered row under all N models through the multi-weight score
-/// kernels. Result i is identical — same nodes, same bitwise scores, same
-/// tie-break order — to the per-query path under model_of[i]'s weights,
-/// and therefore to per-model BatchRankByProximity, for any window
-/// composition, model mix, thread count and kernel. `model_of` is aligned
-/// with `queries`; duplicates of a (query, model) pair share one scored
-/// result. Pool/scratch semantics as above.
-std::vector<QueryResult> BatchRankByProximityMulti(
-    const MetagraphVectorIndex& index,
-    std::span<const std::span<const double>> models,
-    std::span<const NodeId> queries, std::span<const uint32_t> model_of,
-    size_t k, util::ThreadPool* pool = nullptr, BatchScratch* scratch = nullptr,
-    BatchMultiStats* stats = nullptr);
+/// Ranks queries[i] by descending pi(queries[i], .; models[model_of[i]])
+/// over its candidate set, returning one QueryResult per query (aligned
+/// with `queries`, duplicates included). Requires a finalized index; every
+/// model's weights must cover the index's metagraphs and its table its
+/// nodes. With a non-null `pool` the scoring pass runs on its workers; the
+/// results are identical for any pool size, including none.
+std::vector<QueryResult> RankBatch(const MetagraphVectorIndex& index,
+                                   std::span<const RankModel> models,
+                                   std::span<const NodeId> queries,
+                                   std::span<const uint32_t> model_of,
+                                   size_t k, util::ThreadPool* pool = nullptr);
 
 }  // namespace metaprox
 

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/index_maintainer.h"
+#include "core/query_batch.h"
 #include "learning/model_io.h"
 #include "util/logging.h"
 
@@ -358,7 +359,7 @@ bool QueryServer::HandleRequest(const std::shared_ptr<Connection>& conn,
                   std::to_string(options_.max_k));
     return true;
   }
-  // Validate here, not in the batcher: BatchQuery MX_CHECKs its node
+  // Validate here, not in the batcher: RankBatch MX_CHECKs its node
   // ids, and a bad remote request must be an 'E' response, not a crash.
   // The registry only ever publishes graphs that grow (Publish refuses
   // shrinks), so a node valid now stays valid for the snapshot the query
@@ -649,9 +650,10 @@ std::string QueryServer::BuildStatsResponse() {
          std::to_string(s.queries) + ' ' + std::to_string(s.batches) + ' ' +
          std::to_string(s.largest_batch) + ' ' +
          std::to_string(s.protocol_errors) + ' ' +
-         std::to_string(s.windows) + ' ' + std::to_string(s.rows_gathered) +
-         ' ' + std::to_string(s.rows_saved_vs_per_model) + ' ' +
-         std::to_string(s.window_model_groups) + ' ' +
+         std::to_string(s.windows) + ' ' +
+         // Two retired fields (rows_gathered, rows_saved_vs_per_model)
+         // keep their positions, always 0.
+         "0 0 " + std::to_string(s.window_model_groups) + ' ' +
          std::to_string(s.slow_consumer_evictions) + ' ' +
          std::to_string(s.pipeline_refused) + ' ' +
          std::to_string(s.rate_limited) + ' ' +
@@ -664,39 +666,61 @@ std::string QueryServer::BuildStatsResponse() {
 
 // ---- batcher thread -------------------------------------------------------
 
+void QueryServer::WarmTables() {
+  const std::shared_ptr<const IndexSnapshot> index = indexes_->Get();
+  for (const ModelInfo& info : registry_->List()) {
+    const auto model = registry_->Get(info.name);
+    if (model != nullptr) (void)node_dots_.Get(model, index, pool_.get());
+  }
+}
+
 void QueryServer::BatcherLoop() {
   // One scoped lock per iteration (RAII, so the thread-safety analysis
   // tracks it): hold queue_mu_ to wait and pop, release it to rank — the
   // engine call must never run under the queue lock.
   while (true) {
     std::vector<PendingQuery> batch;
+    bool warm = false;
     {
       mx::MutexLock lock(queue_mu_);
-      while (!draining_.load() && queue_.empty()) queue_cv_.Wait(lock);
-      if (queue_.empty()) return;  // drained: every accepted query ranked
-      // Micro-batching: once at least one query is pending, wait up to
-      // the window for the batch to fill. Responses never change with the
-      // window (the batched determinism contract) — only throughput does.
-      // A drain skips the wait: latency no longer matters, finishing
-      // does.
-      if (!draining_.load() && options_.window_micros > 0 &&
-          queue_.size() < options_.max_batch) {
-        const auto deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::microseconds(options_.window_micros);
-        while (!draining_.load() && queue_.size() < options_.max_batch) {
-          if (queue_cv_.WaitUntil(lock, deadline) ==
-              std::cv_status::timeout) {
-            break;
+      while (!draining_.load() && queue_.empty() && !warm_tables_.load()) {
+        queue_cv_.Wait(lock);
+      }
+      if (queue_.empty()) {
+        if (draining_.load()) return;  // drained: every query ranked
+        // Idle with new snapshots published: build their tables now, so
+        // the next window does not pay for them.
+        warm_tables_.store(false);
+        warm = true;
+      } else {
+        // Micro-batching: once at least one query is pending, wait up to
+        // the window for the batch to fill. Responses never change with the
+        // window (the batched determinism contract) — only throughput does.
+        // A drain skips the wait: latency no longer matters, finishing
+        // does.
+        if (!draining_.load() && options_.window_micros > 0 &&
+            queue_.size() < options_.max_batch) {
+          const auto deadline =
+              std::chrono::steady_clock::now() +
+              std::chrono::microseconds(options_.window_micros);
+          while (!draining_.load() && queue_.size() < options_.max_batch) {
+            if (queue_cv_.WaitUntil(lock, deadline) ==
+                std::cv_status::timeout) {
+              break;
+            }
           }
         }
+        const size_t take = std::min(queue_.size(), options_.max_batch);
+        batch.reserve(take);
+        for (size_t i = 0; i < take; ++i) {
+          batch.push_back(std::move(queue_.front()));
+          queue_.pop_front();
+        }
       }
-      const size_t take = std::min(queue_.size(), options_.max_batch);
-      batch.reserve(take);
-      for (size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
+    }
+    if (warm) {
+      WarmTables();
+      continue;
     }
     // Connections paused on queue space can move again — tell the
     // reactor before the (possibly long) ranking call.
@@ -706,135 +730,101 @@ void QueryServer::BatcherLoop() {
 }
 
 void QueryServer::RankAndRespond(std::vector<PendingQuery> batch) {
-  // Deadline pass: a query that waited past its deadline is answered with
-  // E kDeadlineExceeded IN ITS FIFO POSITION (the response loop below
-  // walks pop order), so per-connection ordering survives overload.
-  std::vector<char> expired(batch.size(), 0);
+  // A query whose connection already closed has nobody to answer: drop it
+  // before ranking (its response would be discarded anyway) and count it
+  // neither as served nor as an error. Then the deadline pass: a query
+  // that waited past its deadline is answered with E kDeadlineExceeded IN
+  // ITS FIFO POSITION (the response loop below walks pop order), so
+  // per-connection ordering survives overload.
+  enum : char { kRank, kAbandoned, kExpired };
+  std::vector<char> fate(batch.size(), kRank);
+  size_t n_abandoned = 0;
   size_t n_expired = 0;
-  if (options_.request_deadline_micros > 0) {
-    const auto now = std::chrono::steady_clock::now();
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (now > batch[i].deadline) {
-        expired[i] = 1;
-        ++n_expired;
-      }
+  const auto now = std::chrono::steady_clock::now();
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (batch[i].conn->closed.load()) {
+      fate[i] = kAbandoned;
+      ++n_abandoned;
+    } else if (options_.request_deadline_micros > 0 &&
+               now > batch[i].deadline) {
+      fate[i] = kExpired;
+      ++n_expired;
     }
   }
 
-  // Shared-window scoring: one BatchQueryMulti per distinct (index
-  // snapshot, k) in the window, carrying EVERY model the group mixes —
-  // the snapshot gathers the union of the group's touched rows once and
-  // scores each row under all its models. Identity keys on the snapshot
-  // POINTERS: two queries sharing a model slot provably score under
-  // identical weights, and a query that pinned a pre-RELOAD model (or a
-  // pre-REFRESH index generation) simply rides along as its own column
-  // (or its own group) — determinism per request, whatever the
-  // interleaving. With shared_window_scoring off, the legacy schedule
-  // (one BatchQuery per (index, model, k) group) ranks the same window
-  // to the same bytes, one model at a time.
+  // One RankBatch per distinct (index snapshot, k) in the window, carrying
+  // EVERY model the group mixes. Identity keys on the snapshot POINTERS
+  // (the batch pins them): two queries sharing a model slot provably score
+  // under identical weights, and a query that pinned a pre-RELOAD model
+  // (or a pre-REFRESH index generation) simply rides along as its own
+  // column (or its own group), read against its own node-dot table —
+  // determinism per request, whatever the interleaving.
   struct Group {
     size_t k = 0;
-    const IndexSnapshot* index = nullptr;  // kept alive by batch entries
-    // Distinct snapshots of this group, first-appearance order; model_of
-    // indexes into it, aligned with nodes.
-    std::vector<const ServableModel*> models;
+    std::shared_ptr<const IndexSnapshot> index;
+    // Distinct model snapshots of this group, first-appearance order;
+    // model_of indexes into it, aligned with nodes.
+    std::vector<std::shared_ptr<const ServableModel>> models;
     std::vector<NodeId> nodes;
     std::vector<uint32_t> model_of;
     std::vector<QueryResult> results;
   };
-  const bool shared = options_.shared_window_scoring;
   std::vector<Group> groups;
   std::vector<std::pair<size_t, size_t>> member_of(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
-    if (expired[i]) continue;
-    const ServableModel* model = batch[i].model.get();
-    const IndexSnapshot* index = batch[i].index.get();
+    if (fate[i] != kRank) continue;
+    const PendingQuery& query = batch[i];
     size_t g = 0;
     while (g < groups.size() &&
-           (groups[g].k != batch[i].k || groups[g].index != index ||
-            (!shared && groups[g].models[0] != model))) {
+           (groups[g].k != query.k || groups[g].index != query.index)) {
       ++g;
     }
     if (g == groups.size()) {
       groups.emplace_back();
-      groups.back().k = batch[i].k;
-      groups.back().index = index;
-      if (!shared) groups.back().models.push_back(model);
+      groups.back().k = query.k;
+      groups.back().index = query.index;
     }
     Group& group = groups[g];
     uint32_t m = 0;
-    while (m < group.models.size() && group.models[m] != model) ++m;
-    if (m == group.models.size()) group.models.push_back(model);
+    while (m < group.models.size() && group.models[m] != query.model) ++m;
+    if (m == group.models.size()) group.models.push_back(query.model);
     member_of[i] = {g, group.nodes.size()};
-    group.nodes.push_back(batch[i].node);
+    group.nodes.push_back(query.node);
     group.model_of.push_back(m);
   }
 
-  // Distinct snapshots across the whole window, for the models_per_window
-  // counter (same value either schedule).
   size_t window_models = 0;
-  for (const Group& group : groups) window_models += group.models.size();
-  if (!shared) {
-    // Legacy groups split one snapshot across k values; count distinct
-    // snapshots window-wide instead so the two schedules report the same
-    // mix.
-    std::vector<const ServableModel*> distinct;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (expired[i]) continue;
-      const ServableModel* model = batch[i].model.get();
-      if (std::find(distinct.begin(), distinct.end(), model) ==
-          distinct.end()) {
-        distinct.push_back(model);
-      }
-    }
-    window_models = distinct.size();
-  }
-
   for (Group& group : groups) {
-    // The batcher is the pool/scratch's only user; each call ranks on the
-    // group's pinned snapshot (stateless, so sharing one scratch across
-    // generations is fine — it is epoch-marked per call).
-    BatchMultiStats mstats;
-    if (shared) {
-      std::vector<std::span<const double>> weights;
-      weights.reserve(group.models.size());
-      for (const ServableModel* model : group.models) {
-        weights.push_back(model->model.weights);
-      }
-      group.results = group.index->BatchQueryMulti(
-          weights, group.nodes, group.model_of, group.k, pool_.get(),
-          &batch_scratch_, &mstats);
-      std::vector<uint64_t> served(group.models.size(), 0);
-      for (uint32_t m : group.model_of) ++served[m];
-      for (size_t m = 0; m < group.models.size(); ++m) {
-        group.models[m]->CountServed(served[m]);
-      }
-    } else {
-      group.results =
-          group.index->BatchQuery(group.models[0]->model, group.nodes,
-                                  group.k, pool_.get(), &batch_scratch_);
-      group.models[0]->CountServed(group.nodes.size());
+    // The batcher is the pool's and the tables' only user; each call ranks
+    // on the group's pinned snapshot against tables of that generation.
+    std::vector<RankModel> models;
+    models.reserve(group.models.size());
+    for (const auto& model : group.models) {
+      models.push_back(RankModel{
+          model->model.weights,
+          node_dots_.Get(model, group.index, pool_.get())});
     }
+    group.results = RankBatch(group.index->index(), models, group.nodes,
+                              group.model_of, group.k, pool_.get());
+    std::vector<uint64_t> served(group.models.size(), 0);
+    for (uint32_t m : group.model_of) ++served[m];
+    for (size_t m = 0; m < group.models.size(); ++m) {
+      group.models[m]->CountServed(served[m]);
+    }
+    window_models += group.models.size();
     mx::MutexLock lock(stats_mu_);
     ++stats_.batches;
     stats_.largest_batch =
         std::max<uint64_t>(stats_.largest_batch, group.nodes.size());
-    stats_.rows_gathered += mstats.rows_gathered;
-    stats_.rows_saved_vs_per_model +=
-        mstats.rows_per_model - mstats.rows_gathered;
   }
 
+  // Count the window as served BEFORE the responses go out: a client that
+  // reads its last response and immediately asks for stats must see it.
   {
     mx::MutexLock lock(stats_mu_);
     ++stats_.windows;
     stats_.window_model_groups += window_models;
-  }
-
-  // Count the batch as served BEFORE the responses go out: a client that
-  // reads its last response and immediately asks for stats must see it.
-  {
-    mx::MutexLock lock(stats_mu_);
-    stats_.queries += batch.size() - n_expired;
+    stats_.queries += batch.size() - n_expired - n_abandoned;
     stats_.deadline_expired += n_expired;
     stats_.protocol_errors += n_expired;
   }
@@ -843,15 +833,17 @@ void QueryServer::RankAndRespond(std::vector<PendingQuery> batch) {
   // so each connection sees its responses in the order it sent requests.
   // One Wake covers the whole window.
   for (size_t i = 0; i < batch.size(); ++i) {
-    std::string line;
-    if (expired[i]) {
-      line = BuildErrorResponse(ErrorCode::kDeadlineExceeded,
-                                "query waited past the server deadline");
-    } else {
+    if (fate[i] == kExpired) {
+      EnqueueResponse(batch[i].conn,
+                      BuildErrorResponse(ErrorCode::kDeadlineExceeded,
+                                         "query waited past the server "
+                                         "deadline"));
+    } else if (fate[i] == kRank) {
       const auto [g, pos] = member_of[i];
-      line = BuildQueryResponse(batch[i].node, groups[g].results[pos]);
+      EnqueueResponse(batch[i].conn,
+                      BuildQueryResponse(batch[i].node,
+                                         groups[g].results[pos]));
     }
-    EnqueueResponse(batch[i].conn, std::move(line));
     batch[i].conn->in_flight.fetch_sub(1, std::memory_order_relaxed);
   }
   loop_->Wake();
@@ -875,6 +867,13 @@ void QueryServer::AdminLoop() {
       admin_tasks_.pop_front();
     }
     RunAdminTask(task);
+    // The verb may have published a model or an index: let an idle
+    // batcher build the new tables before traffic needs them.
+    {
+      mx::MutexLock lock(queue_mu_);
+      warm_tables_.store(true);
+    }
+    queue_cv_.NotifyAll();
   }
 }
 

@@ -17,22 +17,26 @@
 //       │           model snapshot and its deadline)
 //       ▼
 //   batcher thread: waits up to `window_micros` for up to `max_batch`
-//       │           queries (micro-batching), expires queries past their
-//       │           deadline (E in FIFO position), groups the rest by k
+//       │           queries (micro-batching), drops queries whose
+//       │           connection already closed (unranked, uncounted),
+//       │           expires queries past their deadline (E in FIFO
+//       │           position), groups the rest by (index snapshot, k)
 //       ▼
-//   IndexSnapshot::BatchQueryMulti(models, nodes, model_of, k): one
-//       │           shared-window call per (index snapshot, k) group,
-//       │           however many models the window mixes — row union
-//       │           gathered once, scored under every model through the
-//       │           multi-weight kernels, on the server's ThreadPool and
-//       │           BatchScratch
+//   RankBatch(index, models, nodes, model_of, k): one call per (index
+//       │           snapshot, k) group, however many models the window
+//       │           mixes — each model's node dots read from its cached
+//       │           (model, index) table (server/node_dot_cache.h, built
+//       │           by the first window that needs the pair, or while the
+//       │           batcher is idle after an admin verb), pair
+//       │           rows scored under every model through the
+//       │           multi-weight kernels, on the server's ThreadPool
 //       ▼
 //   per-connection OUTBOXES (bounded): the batcher appends response
 //       lines in pop order (per-connection FIFO preserved) and wakes the
 //       reactor, which flushes each outbox with nonblocking sends as the
 //       socket accepts bytes
 //
-// Because BatchQuery results are identical to per-query Query() (the
+// Because RankBatch results are identical to per-query Query() (the
 // batched determinism contract), the accumulation window and batch cap are
 // pure throughput/latency knobs: no setting changes any response byte.
 //
@@ -50,29 +54,30 @@
 // enqueues it, so a RELOAD hot-swap never affects a query already
 // accepted (it is ranked under the weights that were current when it
 // arrived) and never stalls serving: the next accepted query simply picks
-// up the new snapshot. v1 `Q <node>` lines are served from
-// `options.default_model`, which must exist at Start() and cannot be
-// UNLOADed through this server's admin interface.
+// up the new snapshot (and, on its first window, a fresh node-dot table).
+// v1 `Q <node>` lines are served from `options.default_model`, which must
+// exist at Start() and cannot be UNLOADed through this server's admin
+// interface.
 //
 // Indexes: the server owns no index either — it serves whatever
 // IndexSnapshot the external IndexRegistry publishes, under the same
 // RCU discipline as models. Each accepted query pins the current
 // snapshot; a REFRESH or SWAPINDEX that lands mid-window only affects
 // queries accepted after it (in-flight batches finish on the generation
-// they pinned). With an IndexMaintainer attached, the admin verbs
-// APPEND (buffer graph deltas), REFRESH (incremental re-match of the
-// affected metagraphs, then publish) and SWAPINDEX (publish a
-// precomputed index artifact) mutate the served index under live
-// traffic; without one they answer E kIndexAdminError.
+// they pinned, against that generation's tables). With an IndexMaintainer
+// attached, the admin verbs APPEND (buffer graph deltas), REFRESH
+// (incremental re-match of the affected metagraphs, then publish) and
+// SWAPINDEX (publish a precomputed index artifact) mutate the served
+// index under live traffic; without one they answer E kIndexAdminError.
 //
 // Threading: three threads at most. The reactor thread does all socket
 // I/O and all epoll bookkeeping; the batcher is the only thread that
-// touches the server's ThreadPool/BatchScratch; an admin worker (spawned
-// only with options.admin) runs model/index disk I/O and index refreshes
-// so a LOAD or REFRESH never stalls the event loop. Both registries are
-// safe to mutate from anywhere at any time. Producer threads hand
-// response bytes to the reactor through the per-connection outboxes plus
-// an eventfd wake — they never touch a socket or epoll.
+// touches the server's ThreadPool and node-dot tables; an admin worker
+// (spawned only with options.admin) runs model/index disk I/O and index
+// refreshes so a LOAD or REFRESH never stalls the event loop. Both
+// registries are safe to mutate from anywhere at any time. Producer
+// threads hand response bytes to the reactor through the per-connection
+// outboxes plus an eventfd wake — they never touch a socket or epoll.
 //
 // Shutdown is a graceful drain (see Stop()).
 #ifndef METAPROX_SERVER_QUERY_SERVER_H_
@@ -89,9 +94,9 @@
 #include <vector>
 
 #include "core/index_snapshot.h"
-#include "core/query_batch.h"
 #include "server/index_registry.h"
 #include "server/model_registry.h"
+#include "server/node_dot_cache.h"
 #include "server/reactor.h"
 #include "server/wire.h"
 #include "util/socket.h"
@@ -108,7 +113,7 @@ namespace metaprox::server {
 struct ServerOptions {
   /// TCP port on 127.0.0.1; 0 = OS-assigned (read back with port()).
   uint16_t port = 0;
-  /// Upper bound on queries ranked by one BatchQuery call.
+  /// Upper bound on queries the batcher pops into one window.
   size_t max_batch = 64;
   /// How long the batcher waits for a window to fill once it holds at
   /// least one query. 0 = rank whatever is queued immediately (lowest
@@ -128,10 +133,10 @@ struct ServerOptions {
   /// by default: a serving port shouldn't accept model or index mutations
   /// unless the operator asked for it.
   bool admin = false;
-  /// Worker threads for the batcher's ranking calls (the server owns its
-  /// ThreadPool and BatchScratch; snapshots are stateless). 0 = hardware
-  /// concurrency; 1 = serial, no pool. Responses are byte-identical for
-  /// any value (the batched determinism contract).
+  /// Worker threads for the batcher's ranking calls and node-dot table
+  /// builds (the server owns its ThreadPool; snapshots are stateless).
+  /// 0 = hardware concurrency; 1 = serial, no pool. Responses are
+  /// byte-identical for any value (the batched determinism contract).
   unsigned num_threads = 1;
   /// Connections beyond this are refused with an 'E' response.
   size_t max_connections = 256;
@@ -140,13 +145,6 @@ struct ServerOptions {
   /// but-unqueued query waits; TCP pushes back on the client) until the
   /// batcher makes room — server memory stays bounded, nobody is evicted.
   size_t max_pending = 1 << 20;
-  /// Rank each window with one shared BatchQueryMulti call per k group
-  /// (gather the window's row union once, score under every model). When
-  /// false, the batcher falls back to the pre-shared-window behavior — one
-  /// BatchQuery per (model snapshot, k) group. Responses are byte-identical
-  /// either way (the multi path's bitwise contract); the flag exists so
-  /// benches can A/B the two schedules on live traffic.
-  bool shared_window_scoring = true;
 
   // ---- per-client limits (docs/SERVING.md documents each in depth) ----
 
@@ -185,26 +183,20 @@ struct ServerOptions {
 // not here: they belong to the model's lifetime, not the server's.
 struct ServerStats {
   uint64_t connections_accepted = 0;
-  uint64_t queries = 0;          // 'Q' requests ranked
-  uint64_t batches = 0;          // engine batch calls issued (one per k
-                                 // group of a window when shared-window
-                                 // scoring is on; one per (model, k)
-                                 // group on the legacy path)
+  uint64_t queries = 0;          // 'Q' requests ranked (queries of a
+                                 // connection closed before ranking are
+                                 // dropped and not counted)
+  uint64_t batches = 0;          // RankBatch calls issued (one per
+                                 // (index, k) group of a window)
   uint64_t largest_batch = 0;    // max queries ranked by one call
   uint64_t protocol_errors = 0;  // 'E' responses sent (all codes)
   uint64_t admin_commands = 0;   // admin verbs accepted (admin enabled)
 
-  // Gather-amortization counters of the shared-window batcher (zero when
-  // shared_window_scoring is off, except windows/window_model_groups,
-  // which both paths maintain). models_per_window, the mean number of
-  // distinct model snapshots a window mixes, is window_model_groups /
-  // windows.
+  // Window counters. models_per_window, the mean number of distinct
+  // model snapshots a window mixes, is window_model_groups / windows.
+  // (STATS still carries two retired fields between these, always 0.)
   uint64_t windows = 0;               // batcher windows popped and ranked
   uint64_t window_model_groups = 0;   // sum of distinct snapshots per window
-  uint64_t rows_gathered = 0;         // node rows gathered (dotted), total
-  uint64_t rows_saved_vs_per_model = 0;  // rows per-(model,k) grouping would
-                                         // have gathered on the same
-                                         // windows, minus rows_gathered
 
   // Per-client limit counters (each also counts into protocol_errors).
   uint64_t slow_consumer_evictions = 0;  // connections closed with E 18
@@ -351,6 +343,9 @@ class QueryServer {
 
   // ---- batcher thread ----
   void BatcherLoop();
+  /// Builds the node-dot tables of every registry model over the current
+  /// index (a no-op for pairs already cached).
+  void WarmTables();
   /// Ranks one popped window (expired queries answered in place) and
   /// enqueues the responses in pop order, preserving per-connection FIFO.
   void RankAndRespond(std::vector<PendingQuery> batch);
@@ -368,9 +363,9 @@ class QueryServer {
   bool started_ = false;
   std::unique_ptr<EpollLoop> loop_;
   /// The batcher's ranking resources (snapshots are stateless; the
-  /// batcher is their only user, so one scratch suffices).
+  /// batcher is their only user).
   std::unique_ptr<util::ThreadPool> pool_;
-  BatchScratch batch_scratch_;
+  NodeDotCache node_dots_;
 
   std::thread reactor_thread_;
   std::thread batcher_thread_;
@@ -385,6 +380,9 @@ class QueryServer {
   // responses anymore, so "all outboxes empty" is final.
   std::atomic<bool> draining_{false};
   std::atomic<bool> producers_done_{false};
+  // Set (under queue_mu_) at start and after every admin verb: the
+  // batcher builds missing node-dot tables the next time it is idle.
+  std::atomic<bool> warm_tables_{true};
   // Connections paused because the queue was full; the batcher wakes the
   // reactor after popping when this is nonzero.
   std::atomic<size_t> queue_blocked_count_{0};

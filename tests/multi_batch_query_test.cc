@@ -1,11 +1,11 @@
-// The shared-window multi-model batch's determinism contract:
-// BatchRankByProximityMulti / SearchEngine::BatchQueryMulti must return,
-// for every entry i, results IDENTICAL — same nodes, same (bitwise)
-// scores, same tie-break order — to Query() under queries[i]'s own model,
-// and therefore to per-model BatchRankByProximity, for every window size,
-// model mix (including duplicates of a node across models), pool size and
-// kernel. Also covers the gather-amortization stats and concurrent windows
-// on distinct scratches (the TSan concurrency label).
+// The multi-model batch's determinism contract: RankBatch over several
+// models, each with its ComputeNodeDots table, must return, for every
+// entry i, results IDENTICAL — same nodes, same (bitwise) scores, same
+// tie-break order — to Query() under queries[i]'s own model, and
+// therefore to a single-model RankBatch of that model's slice, for every
+// window size, model mix (including duplicates of a node across models),
+// pool size and kernel. Also covers concurrent windows reading the same
+// tables (the TSan concurrency label).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -27,6 +27,8 @@ struct Pipeline {
   // models[0] is trained; the rest are synthetic mixes that disagree with
   // it (so a query ranked under the wrong model would be caught).
   std::vector<MgpModel> models;
+  // node_dots[m] = ComputeNodeDots(index, models[m].weights).
+  std::vector<std::vector<double>> node_dots;
   std::vector<NodeId> users;
 };
 
@@ -41,7 +43,7 @@ const Pipeline& SharedPipeline() {
     options.miner.anchor_type = p->ds.user_type;
     options.miner.min_support = 3;
     options.miner.max_nodes = 4;
-    options.num_threads = 4;  // BatchQueryMulti must use the pooled path
+    options.num_threads = 4;
     p->engine = std::make_unique<SearchEngine>(p->ds.graph, options);
     p->engine->Mine();
     p->engine->MatchAll();
@@ -72,6 +74,9 @@ const Pipeline& SharedPipeline() {
     p->models.push_back(std::move(evens));
     p->models.push_back(std::move(odds));
     p->models.push_back(std::move(taper));
+    for (const MgpModel& model : p->models) {
+      p->node_dots.push_back(ComputeNodeDots(p->engine->index(), model.weights));
+    }
 
     p->users.assign(pool.begin(), pool.end());
     return p;
@@ -79,14 +84,16 @@ const Pipeline& SharedPipeline() {
   return *pipeline;
 }
 
-// First n_models spans, as BatchRankByProximityMulti consumes them.
-std::vector<std::span<const double>> WeightSpans(size_t n_models) {
+// The first n_models models with their tables, as RankBatch consumes them.
+std::vector<RankModel> RankModels(size_t n_models) {
   const Pipeline& p = SharedPipeline();
   MX_CHECK(n_models <= p.models.size());
-  std::vector<std::span<const double>> spans;
-  spans.reserve(n_models);
-  for (size_t m = 0; m < n_models; ++m) spans.push_back(p.models[m].weights);
-  return spans;
+  std::vector<RankModel> models;
+  models.reserve(n_models);
+  for (size_t m = 0; m < n_models; ++m) {
+    models.push_back(RankModel{p.models[m].weights, p.node_dots[m]});
+  }
+  return models;
 }
 
 // A window of `n` queries cycling the user pool, striping models round
@@ -126,7 +133,7 @@ void ExpectIdenticalToQuery(const Window& w, size_t k,
   }
 }
 
-TEST(MultiBatchQuery, MixedWindowsIdenticalToQueryAcrossSizesModelsThreads) {
+TEST(MultiModelRankBatch, MixedWindowsIdenticalToQueryAcrossSizesModelsThreads) {
   const Pipeline& p = SharedPipeline();
   util::ThreadPool one_thread(1);
   util::ThreadPool four_threads(4);
@@ -136,27 +143,27 @@ TEST(MultiBatchQuery, MixedWindowsIdenticalToQueryAcrossSizesModelsThreads) {
   for (size_t window : {size_t{1}, size_t{7}, size_t{64}}) {
     for (size_t n_models : {size_t{1}, size_t{2}, size_t{5}}) {
       const Window w = WindowOf(window, n_models);
-      const auto spans = WeightSpans(n_models);
+      const auto models = RankModels(n_models);
       for (const auto& [name, pool] : pools) {
         SCOPED_TRACE(::testing::Message() << "window " << window << ", "
                                           << n_models << " models, " << name);
-        auto multi = BatchRankByProximityMulti(
-            p.engine->index(), spans, w.queries, w.model_of, /*k=*/10, pool);
+        auto multi = RankBatch(p.engine->index(), models, w.queries,
+                               w.model_of, /*k=*/10, pool);
         ExpectIdenticalToQuery(w, 10, multi);
       }
     }
   }
 }
 
-TEST(MultiBatchQuery, MatchesPerModelBatchRankByProximity) {
+TEST(MultiModelRankBatch, MatchesPerModelSingleModelBatches) {
   const Pipeline& p = SharedPipeline();
   const size_t n_models = 5;
   const Window w = WindowOf(40, n_models);
-  auto multi = BatchRankByProximityMulti(p.engine->index(),
-                                         WeightSpans(n_models), w.queries,
-                                         w.model_of, /*k=*/10);
-  // Re-rank each model's slice through the single-model batch: the two
-  // schedules must agree bitwise, result for result.
+  const auto models = RankModels(n_models);
+  auto multi = RankBatch(p.engine->index(), models, w.queries, w.model_of,
+                         /*k=*/10);
+  // Re-rank each model's slice as a single-model batch: the two schedules
+  // must agree bitwise, result for result.
   for (uint32_t m = 0; m < n_models; ++m) {
     std::vector<NodeId> slice;
     std::vector<size_t> positions;
@@ -166,8 +173,10 @@ TEST(MultiBatchQuery, MatchesPerModelBatchRankByProximity) {
         positions.push_back(i);
       }
     }
-    auto single = BatchRankByProximity(p.engine->index(),
-                                       p.models[m].weights, slice, /*k=*/10);
+    const std::vector<uint32_t> zeros(slice.size(), 0);
+    auto single = RankBatch(p.engine->index(),
+                            std::span<const RankModel>(&models[m], 1), slice,
+                            zeros, /*k=*/10);
     for (size_t j = 0; j < slice.size(); ++j) {
       EXPECT_EQ(multi[positions[j]], single[j])
           << "model " << m << ", slice entry " << j;
@@ -175,7 +184,7 @@ TEST(MultiBatchQuery, MatchesPerModelBatchRankByProximity) {
   }
 }
 
-TEST(MultiBatchQuery, DuplicateNodesAcrossModelsScoreUnderTheirOwnModel) {
+TEST(MultiModelRankBatch, DuplicateNodesAcrossModelsScoreUnderTheirOwnModel) {
   const Pipeline& p = SharedPipeline();
   // The SAME node queried under several models in one window (the serving
   // case this path exists for), plus exact (node, model) duplicates that
@@ -185,69 +194,43 @@ TEST(MultiBatchQuery, DuplicateNodesAcrossModelsScoreUnderTheirOwnModel) {
   const NodeId b = p.users[8];
   w.queries = {a, a, a, b, a, b};
   w.model_of = {0, 2, 0, 1, 4, 1};
-  auto multi = BatchRankByProximityMulti(p.engine->index(), WeightSpans(5),
-                                         w.queries, w.model_of, /*k=*/10);
+  auto multi = RankBatch(p.engine->index(), RankModels(5), w.queries,
+                         w.model_of, /*k=*/10);
   ExpectIdenticalToQuery(w, 10, multi);
   EXPECT_EQ(multi[0], multi[2]);  // (a, model 0) duplicated
   EXPECT_EQ(multi[3], multi[5]);  // (b, model 1) duplicated
 }
 
-TEST(MultiBatchQuery, EngineBatchQueryMultiReusesScratchAcrossMixedCalls) {
-  Pipeline& p = const_cast<Pipeline&>(SharedPipeline());
-  // Alternate multi windows of different widths with plain BatchQuery on
-  // the same engine: the shared scratch must expire cleanly between
-  // layouts (wrong expiry would surface as stale dots, i.e. wrong scores).
+TEST(MultiModelRankBatch, TablesServeWindowsOfChangingModelCounts) {
+  const Pipeline& p = SharedPipeline();
+  // Alternate windows of different widths with single-model windows over
+  // the same tables: a table is read-only, so no window can see another's
+  // state.
   for (size_t n_models : {size_t{5}, size_t{1}, size_t{3}}) {
     const Window w = WindowOf(30, n_models);
-    auto multi = p.engine->BatchQueryMulti(WeightSpans(n_models), w.queries,
-                                           w.model_of, 10);
+    auto multi = RankBatch(p.engine->index(), RankModels(n_models), w.queries,
+                           w.model_of, 10);
     ExpectIdenticalToQuery(w, 10, multi);
-    const std::vector<NodeId> queries = w.queries;
-    auto single = p.engine->BatchQuery(p.models[0], queries, 10);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      const QueryResult expected = p.engine->Query(p.models[0], queries[i], 10);
+    const std::vector<uint32_t> zeros(w.queries.size(), 0);
+    auto single = RankBatch(p.engine->index(), RankModels(1), w.queries,
+                            zeros, 10);
+    for (size_t i = 0; i < w.queries.size(); ++i) {
+      const QueryResult expected =
+          p.engine->Query(p.models[0], w.queries[i], 10);
       EXPECT_EQ(single[i], expected) << "single-model call after multi, #" << i;
     }
   }
 }
 
-TEST(MultiBatchQuery, StatsAccountForSharedGather) {
-  Pipeline& p = const_cast<Pipeline&>(SharedPipeline());
-  const Window w = WindowOf(64, 4);
-  BatchMultiStats stats;
-  auto multi = p.engine->BatchQueryMulti(WeightSpans(4), w.queries,
-                                         w.model_of, 10, &stats);
-  ExpectIdenticalToQuery(w, 10, multi);
-  EXPECT_GT(stats.rows_gathered, 0u);
-  // The union gather can never touch more rows than four per-model gathers
-  // would, and with the user pool striped round robin the models' candidate
-  // sets overlap heavily — the shared window must actually save.
-  EXPECT_GT(stats.rows_per_model, stats.rows_gathered);
-  // Queries of one window are mutual candidates here, so some pair rows
-  // must have been precomputed once for all models.
-  EXPECT_GT(stats.shared_pair_rows, 0u);
-
-  // One model: the union IS the per-model gather; nothing to save.
-  const Window w1 = WindowOf(16, 1);
-  BatchMultiStats stats1;
-  (void)p.engine->BatchQueryMulti(WeightSpans(1), w1.queries, w1.model_of, 10,
-                                  &stats1);
-  EXPECT_EQ(stats1.rows_per_model, stats1.rows_gathered);
+TEST(MultiModelRankBatch, EmptyWindowReturnsEmpty) {
+  const Pipeline& p = SharedPipeline();
+  EXPECT_TRUE(RankBatch(p.engine->index(), RankModels(2), {}, {}, 10).empty());
 }
 
-TEST(MultiBatchQuery, EmptyWindowReturnsEmpty) {
-  Pipeline& p = const_cast<Pipeline&>(SharedPipeline());
-  BatchMultiStats stats;
-  stats.rows_gathered = 99;  // must be reset even on the empty path
-  EXPECT_TRUE(
-      p.engine->BatchQueryMulti(WeightSpans(2), {}, {}, 10, &stats).empty());
-  EXPECT_EQ(stats.rows_gathered, 0u);
-}
-
-// Concurrent windows on DISTINCT scratches and pools (the documented
-// contract: a scratch belongs to one caller at a time, but nothing else is
-// shared mutably). Run under TSan via the concurrency label.
-TEST(MultiBatchQuery, ConcurrentWindowsOnDistinctScratches) {
+// Concurrent windows over the SAME tables, each on its own pool: the
+// tables and the index are read-only, so nothing is shared mutably. Run
+// under TSan via the concurrency label.
+TEST(MultiModelRankBatch, ConcurrentWindowsShareTables) {
   const Pipeline& p = SharedPipeline();
   constexpr size_t kThreads = 4;
   std::vector<std::vector<QueryResult>> results(kThreads);
@@ -256,13 +239,11 @@ TEST(MultiBatchQuery, ConcurrentWindowsOnDistinctScratches) {
     threads.emplace_back([&, t] {
       const size_t n_models = 1 + t % 5;
       const Window w = WindowOf(24 + t, n_models);
-      const auto spans = WeightSpans(n_models);
+      const auto models = RankModels(n_models);
       util::ThreadPool pool(2);
-      BatchScratch scratch;
       for (int round = 0; round < 3; ++round) {
-        results[t] = BatchRankByProximityMulti(p.engine->index(), spans,
-                                               w.queries, w.model_of,
-                                               /*k=*/10, &pool, &scratch);
+        results[t] = RankBatch(p.engine->index(), models, w.queries,
+                               w.model_of, /*k=*/10, &pool);
       }
     });
   }

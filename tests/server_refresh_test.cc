@@ -6,16 +6,19 @@
 // their structured codes. Runs under TSan in CI (label `concurrency`).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
 #include "core/index_maintainer.h"
 #include "datagen/facebook.h"
+#include "learning/model_io.h"
 #include "server/client.h"
 #include "server/index_registry.h"
 #include "server/model_registry.h"
@@ -98,6 +101,79 @@ struct Fixture {
   }
 };
 
+// Readers streaming pipelined probe rounds, each over its own
+// connection, recording every raw response line; validation happens after
+// the mutations under test are known.
+class ProbeReaders {
+ public:
+  struct Log {
+    std::vector<std::pair<NodeId, std::string>> lines;
+    std::string error;
+    // The main thread's pacing loops poll these atomics instead of
+    // touching `lines`/`error`, which stay reader-owned until Stop().
+    std::atomic<size_t> progress{0};
+    std::atomic<bool> failed{false};
+  };
+
+  ProbeReaders(uint16_t port, std::vector<NodeId> probes, size_t readers)
+      : probes_(std::move(probes)), logs_(readers) {
+    for (size_t r = 0; r < readers; ++r) {
+      threads_.emplace_back([this, port, r] { Run(port, logs_[r]); });
+    }
+  }
+  ~ProbeReaders() { Stop(); }
+
+  /// Waits until reader 0 has logged `lines` more responses than now (or
+  /// failed).
+  void WaitForMore(size_t lines) {
+    const size_t target =
+        logs_[0].progress.load(std::memory_order_acquire) + lines;
+    while (logs_[0].progress.load(std::memory_order_acquire) < target &&
+           !logs_[0].failed.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+  }
+
+  void Stop() {
+    stop_.store(true);
+    for (std::thread& t : threads_) {
+      if (t.joinable()) t.join();
+    }
+  }
+
+  /// Valid after Stop().
+  const std::vector<Log>& logs() const { return logs_; }
+
+ private:
+  void Run(uint16_t port, Log& log) {
+    auto fail = [&log](std::string error) {
+      log.error = std::move(error);
+      log.failed.store(true, std::memory_order_release);
+    };
+    auto sock = util::ConnectTcp("127.0.0.1", port);
+    if (!sock.ok()) return fail(sock.status().ToString());
+    util::LineReader reader(*sock);
+    while (!stop_.load(std::memory_order_relaxed)) {
+      for (NodeId u : probes_) {
+        if (!util::SendAll(*sock, server::BuildQueryRequest(u, kK)).ok()) {
+          return fail("send failed");
+        }
+      }
+      for (NodeId u : probes_) {
+        std::string line;
+        if (!reader.ReadLine(&line)) return fail("read failed");
+        log.lines.emplace_back(u, line + "\n");
+        log.progress.store(log.lines.size(), std::memory_order_release);
+      }
+    }
+  }
+
+  const std::vector<NodeId> probes_;
+  std::vector<Log> logs_;
+  std::atomic<bool> stop_{false};
+  std::vector<std::thread> threads_;
+};
+
 TEST(ServerRefresh, RefreshUnderConcurrentByteCheckedReaders) {
   Fixture f;
   const std::vector<NodeId> probes(f.users.begin(), f.users.begin() + 12);
@@ -109,55 +185,9 @@ TEST(ServerRefresh, RefreshUnderConcurrentByteCheckedReaders) {
     old_line[u] = Fixture::LineOf(*base_snapshot, f.model, u);
   }
 
-  // Readers stream pipelined probe rounds and record the raw response
-  // lines; validation happens after the refresh is known.
-  std::atomic<bool> stop{false};
-  struct ReaderLog {
-    std::vector<std::pair<NodeId, std::string>> lines;
-    std::string error;
-    // The main thread's pacing loops poll these atomics instead of
-    // touching `lines`/`error`, which stay reader-owned until join().
-    std::atomic<size_t> progress{0};
-    std::atomic<bool> failed{false};
-  };
-  std::vector<ReaderLog> logs(3);
-  std::vector<std::thread> readers;
-  for (size_t r = 0; r < logs.size(); ++r) {
-    readers.emplace_back([&, r] {
-      auto sock = util::ConnectTcp("127.0.0.1", f.server->port());
-      if (!sock.ok()) {
-        logs[r].error = sock.status().ToString();
-        logs[r].failed.store(true, std::memory_order_release);
-        return;
-      }
-      util::LineReader reader(*sock);
-      while (!stop.load(std::memory_order_relaxed)) {
-        for (NodeId u : probes) {
-          if (!util::SendAll(*sock, server::BuildQueryRequest(u, kK)).ok()) {
-            logs[r].error = "send failed";
-            logs[r].failed.store(true, std::memory_order_release);
-            return;
-          }
-        }
-        for (NodeId u : probes) {
-          std::string line;
-          if (!reader.ReadLine(&line)) {
-            logs[r].error = "read failed";
-            logs[r].failed.store(true, std::memory_order_release);
-            return;
-          }
-          logs[r].lines.emplace_back(u, line + "\n");
-          logs[r].progress.store(logs[r].lines.size(),
-                                 std::memory_order_release);
-        }
-      }
-    });
-  }
-
   // Let the readers get going, then append + refresh mid-traffic.
-  while (logs[0].progress.load(std::memory_order_acquire) < probes.size()) {
-    std::this_thread::yield();
-  }
+  ProbeReaders readers(f.server->port(), probes, 3);
+  readers.WaitForMore(probes.size());
   auto append =
       f.Admin("APPEND E " + std::to_string(f.users[0]) + ' ' +
               std::to_string(f.users[11]));
@@ -175,14 +205,8 @@ TEST(ServerRefresh, RefreshUnderConcurrentByteCheckedReaders) {
   EXPECT_EQ(refresh->fields[3], "1");  // appended edges
 
   // A couple more rounds on the refreshed index, then stop.
-  const size_t after_refresh = logs[0].progress.load(std::memory_order_acquire);
-  while (logs[0].progress.load(std::memory_order_acquire) <
-             after_refresh + 2 * probes.size() &&
-         !logs[0].failed.load(std::memory_order_acquire)) {
-    std::this_thread::yield();
-  }
-  stop.store(true);
-  for (std::thread& t : readers) t.join();
+  readers.WaitForMore(2 * probes.size());
+  readers.Stop();
 
   // Offline truth for the refreshed generation — served from the same
   // snapshot object the registry published.
@@ -196,7 +220,7 @@ TEST(ServerRefresh, RefreshUnderConcurrentByteCheckedReaders) {
   // Every line answered during the race byte-equals one generation's
   // offline answer; once a connection sees the new generation it never
   // goes back (queries pin at enqueue, FIFO per connection).
-  for (const ReaderLog& log : logs) {
+  for (const ProbeReaders::Log& log : readers.logs()) {
     ASSERT_TRUE(log.error.empty()) << log.error;
     ASSERT_FALSE(log.lines.empty());
     bool seen_new = false;
@@ -281,6 +305,84 @@ TEST(ServerRefresh, SwapIndexRestoresTheSavedArtifact) {
   ASSERT_TRUE(stats.ok());
   ASSERT_EQ(stats->fields.size(), 17u);
   EXPECT_EQ(stats->fields[16], "1");  // index_swaps
+}
+
+// Node-dot tables are cached per (model snapshot, index snapshot): a
+// RELOAD and a REFRESH landing under live traffic must each switch the
+// tables the batcher reads. Every response must byte-equal the offline
+// answer of a (model, generation) pair that was published while it was
+// in flight — a stale table would pair one model's or generation's
+// numerators with another's denominators and match none of them.
+TEST(ServerRefresh, ReloadAndRefreshUnderTrafficNeverServeStaleTables) {
+  Fixture f;
+  MgpModel alt = f.model;
+  for (size_t i = 1; i < alt.weights.size(); i += 2) alt.weights[i] = 0.0;
+  const std::string alt_path = testing::UniqueTempPath("reload_alt.model");
+  ASSERT_TRUE(SaveModel(alt, alt_path).ok());
+
+  const std::vector<NodeId> probes(f.users.begin(), f.users.begin() + 12);
+  auto gen1 = f.maintainer->snapshot();
+  std::map<NodeId, std::vector<std::string>> valid;
+  for (NodeId u : probes) {
+    valid[u].push_back(Fixture::LineOf(*gen1, f.model, u));
+    valid[u].push_back(Fixture::LineOf(*gen1, alt, u));
+  }
+
+  ProbeReaders readers(f.server->port(), probes, 2);
+  readers.WaitForMore(probes.size());
+  auto reload = f.Admin("RELOAD main " + alt_path);
+  ASSERT_TRUE(reload.ok()) << reload.status().ToString();
+  ASSERT_TRUE(reload->ok()) << reload->raw;
+  readers.WaitForMore(2 * probes.size());
+
+  auto append = f.Admin("APPEND E " + std::to_string(f.users[0]) + ' ' +
+                        std::to_string(f.users[11]));
+  ASSERT_TRUE(append.ok() && append->ok()) << append->raw;
+  auto refresh = f.Admin("REFRESH");
+  ASSERT_TRUE(refresh.ok() && refresh->ok()) << refresh->raw;
+  readers.WaitForMore(2 * probes.size());
+  readers.Stop();
+
+  auto gen2 = f.maintainer->snapshot();
+  ASSERT_EQ(gen2->generation(), 2u);
+  std::map<NodeId, std::string> final_line;
+  for (NodeId u : probes) {
+    final_line[u] = Fixture::LineOf(*gen2, alt, u);
+    valid[u].push_back(final_line[u]);
+  }
+  for (const ProbeReaders::Log& log : readers.logs()) {
+    ASSERT_TRUE(log.error.empty()) << log.error;
+    for (const auto& [u, line] : log.lines) {
+      const auto& lines = valid[u];
+      EXPECT_NE(std::find(lines.begin(), lines.end(), line), lines.end())
+          << "node " << u << " answered from no published pair: " << line;
+    }
+  }
+
+  // Queries accepted after both mutations are served from the new
+  // model's table over the new generation.
+  auto sock = util::ConnectTcp("127.0.0.1", f.server->port());
+  ASSERT_TRUE(sock.ok());
+  util::LineReader reader(*sock);
+  for (NodeId u : probes) {
+    ASSERT_TRUE(util::SendAll(*sock, server::BuildQueryRequest(u, kK)).ok());
+  }
+  for (NodeId u : probes) {
+    std::string line;
+    ASSERT_TRUE(reader.ReadLine(&line));
+    EXPECT_EQ(line + "\n", final_line[u]) << "node " << u;
+  }
+
+  // Neither check is vacuous: the RELOAD changed some answer, and so did
+  // the REFRESH.
+  bool model_changed = false;
+  bool index_changed = false;
+  for (NodeId u : probes) {
+    model_changed |= valid[u][0] != valid[u][1];
+    index_changed |= valid[u][1] != valid[u][2];
+  }
+  EXPECT_TRUE(model_changed);
+  EXPECT_TRUE(index_changed);
 }
 
 TEST(ServerRefresh, MaintenanceFailureModesAnswerStructuredCodes) {

@@ -5,21 +5,28 @@
 // v2 protocol (HELLO, named models, k ceiling, admin verbs) must behave —
 // with v1 lines untouched — and malformed input / registry hot-swaps /
 // shutdown must be handled without wedging a connection or the process.
+// Also covers the batcher's node-dot table cache (server/node_dot_cache.h)
+// and that queries of a connection closed before ranking are dropped.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "baselines/simple.h"
 #include "core/engine.h"
+#include "core/query_batch.h"
 #include "datagen/facebook.h"
 #include "learning/model_io.h"
 #include "server/client.h"
 #include "server/index_registry.h"
 #include "server/model_registry.h"
+#include "server/node_dot_cache.h"
 #include "server/query_server.h"
 #include "server/wire.h"
 #include "test_helpers.h"
@@ -280,7 +287,7 @@ TEST(QueryServer, MicroBatchingCoalescesPipelinedQueries) {
   ServerOptions options;
   options.max_batch = 32;
   // A generous window: the client floods 100 queries over loopback well
-  // inside it, so the batcher must coalesce them into few BatchQuery
+  // inside it, so the batcher must coalesce them into few RankBatch
   // calls. (Upper bound asserted loosely to stay timing-robust.)
   options.window_micros = 50000;
   auto server = StartServer(options);
@@ -572,6 +579,94 @@ TEST(QueryServer, StatsRequestAnswers) {
   std::string line;
   ASSERT_TRUE(reader.ReadLine(&line));
   EXPECT_EQ(line.substr(0, 6), "STATS ") << line;
+  // STATS is append-only: 17 fields, the two retired gather counters
+  // (fields 7 and 8) still in place and always 0.
+  std::istringstream fields(line.substr(6));
+  std::vector<std::string> values;
+  for (std::string v; fields >> v;) values.push_back(v);
+  ASSERT_EQ(values.size(), 17u) << line;
+  EXPECT_EQ(values[6], "0");
+  EXPECT_EQ(values[7], "0");
+}
+
+TEST(QueryServer, QueriesOfAClosedConnectionAreNotRanked) {
+  const Pipeline& p = SharedPipeline();
+  ServerOptions options;
+  // A long window: the client's queries and its hang-up both land long
+  // before the batcher pops them.
+  options.window_micros = 300000;
+  auto server = StartServer(options);
+  {
+    auto sock = util::ConnectTcp("127.0.0.1", server->port());
+    ASSERT_TRUE(sock.ok());
+    for (size_t i = 0; i < 20; ++i) {
+      ASSERT_TRUE(
+          util::SendAll(*sock, server::BuildQueryRequest(p.users[i], 10))
+              .ok());
+    }
+  }  // closed with every query still queued
+  // The reactor sees the hang-up long before the window ends; wait for it
+  // to tear the connection down, then rank one live query. The queue is
+  // FIFO, so once its answer arrives the abandoned queries were popped.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  auto client = QueryClient::Connect("127.0.0.1", server->port());
+  ASSERT_TRUE(client.ok());
+  auto response = client->Rank(p.users[0], 10);
+  ASSERT_TRUE(response.ok());
+  ExpectMatchesQuery(*response, p.users[0], 10);
+  const server::ServerStats stats = server->stats();
+  EXPECT_EQ(stats.queries, 1u);
+  EXPECT_EQ(stats.protocol_errors, 0u);
+}
+
+std::shared_ptr<const server::ServableModel> MakeServable(
+    const MgpModel& model) {
+  return std::make_shared<const server::ServableModel>(server::ServableModel{
+      "m", 1, model, std::make_shared<std::atomic<uint64_t>>(0)});
+}
+
+bool TableIs(std::span<const double> table, const IndexSnapshot& index,
+             const MgpModel& model) {
+  const std::vector<double> expected =
+      ComputeNodeDots(index.index(), model.weights);
+  return std::equal(table.begin(), table.end(), expected.begin(),
+                    expected.end());
+}
+
+TEST(NodeDotCache, BuildsOncePerPairAndDropsReleasedSnapshots) {
+  const Pipeline& p = SharedPipeline();
+  const auto gen1 = p.engine->Snapshot();
+  // A second generation object over the same components.
+  auto gen2 = std::make_shared<const IndexSnapshot>(
+      gen1->shared_graph(), gen1->shared_metagraphs(), gen1->shared_index(),
+      2);
+  auto main = MakeServable(p.model);
+  auto alt = MakeServable(p.alt_model);
+
+  server::NodeDotCache cache;
+  const std::span<const double> main1 = cache.Get(main, gen1, nullptr);
+  EXPECT_TRUE(TableIs(main1, *gen1, p.model));
+  // The same pair is served from the cache, not rebuilt.
+  EXPECT_EQ(cache.Get(main, gen1, nullptr).data(), main1.data());
+  EXPECT_TRUE(TableIs(cache.Get(alt, gen1, nullptr), *gen1, p.alt_model));
+  EXPECT_TRUE(TableIs(cache.Get(main, gen2, nullptr), *gen2, p.model));
+  EXPECT_EQ(cache.size(), 3u);
+
+  // Releasing a model drops its entry at the next lookup...
+  alt.reset();
+  EXPECT_EQ(cache.Get(main, gen1, nullptr).data(), main1.data());
+  EXPECT_EQ(cache.size(), 2u);
+  // ...and so does releasing an index generation.
+  gen2.reset();
+  (void)cache.Get(main, gen1, nullptr);
+  EXPECT_EQ(cache.size(), 1u);
+
+  // A model published after a release — possibly at the freed address —
+  // gets its own table, never the released model's.
+  main.reset();
+  auto next = MakeServable(p.alt_model);
+  EXPECT_TRUE(TableIs(cache.Get(next, gen1, nullptr), *gen1, p.alt_model));
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(QueryServer, StopDisconnectsClientsWithoutHanging) {
