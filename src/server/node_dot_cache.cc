@@ -1,7 +1,5 @@
 #include "server/node_dot_cache.h"
 
-#include <utility>
-
 #include "core/query_batch.h"
 
 namespace metaprox::server {
